@@ -33,11 +33,9 @@ func TestSingleflightColdQueryCoalesces(t *testing.T) {
 	const clients = 32
 	s, _ := buildArchive(t)
 	req := QueryRequest{Dataset: tsdb.DatasetPlacementScore}
-	// Query normalizes resolution/agg before building its cache key;
-	// mirror that so the barrier hooks the right flight.
-	normalized := req
-	normalized.Resolution, normalized.Agg = "raw", "mean"
-	ck := cacheKey("query", normalized)
+	// Build the key through the same prepare step Query runs, so the
+	// barrier hooks the right flight.
+	ck := cacheKey(mustPrepare(t, s, kindQuery, req))
 
 	// The leader blocks until every follower has provably joined its
 	// flight, so exactly clients-1 coalesce — no timing luck involved.

@@ -223,15 +223,16 @@ func (s *Service) fanOut(n int, fn func(int)) {
 	wg.Wait()
 }
 
-// cacheKey renders the (kind, filter, window, resolution, page) tuple
-// canonically. The page window — offset/limit or cursor token — is part
-// of the key: two requests that differ only in their page return
-// different point sets, and a cache that ignored the page would serve
-// page 0 for every page. Resolution and aggregate are included after
-// normalization (resolveRead), so `auto` shares entries with the
-// explicit resolution it picked.
-func cacheKey(kind string, req QueryRequest) string {
-	return kind + "\x00" + req.Dataset + "\x00" + req.Type + "\x00" + req.Region + "\x00" + req.AZ +
+// cacheKey renders a prepared request's (kind, filter, window,
+// resolution, page) tuple canonically. The page window — offset/limit or
+// cursor token — is part of the key: two requests that differ only in
+// their page return different point sets, and a cache that ignored the
+// page would serve page 0 for every page. Taking a prepared request means
+// the key is always built from effective values, so `auto` shares entries
+// with the explicit resolution it picked.
+func cacheKey(p *prepared) string {
+	req := &p.req
+	return kindNames[p.kind] + "\x00" + req.Dataset + "\x00" + req.Type + "\x00" + req.Region + "\x00" + req.AZ +
 		"\x00" + strconv.FormatInt(req.From.UnixNano(), 36) + "\x00" + strconv.FormatInt(req.To.UnixNano(), 36) +
 		"\x00" + strconv.Itoa(req.Offset) + "\x00" + strconv.Itoa(req.Limit) + "\x00" + req.Cursor +
 		"\x00" + req.Resolution + "\x00" + req.Agg
@@ -311,15 +312,126 @@ func (s *Service) checkWindow(req QueryRequest) (from, to time.Time, err error) 
 	return from, to, nil
 }
 
+// readKind names a read entry point. Each kind keeps its own cache
+// namespace, because each caches a different value type.
+type readKind uint8
+
+const (
+	kindQuery  readKind = iota // Query: the whole window
+	kindPage                   // QueryPaged: an offset page
+	kindCursor                 // QueryCursor: a keyset-cursor page
+	kindLatest                 // Latest: the newest point of each series
+)
+
+var kindNames = [...]string{kindQuery: "query", kindPage: "page", kindCursor: "cursor", kindLatest: "latest"}
+
+// prepared is a request validated and normalized for its kind:
+// Resolution and Agg hold their effective values, and the fields the
+// kind ignores are zeroed, so equivalent spellings of one request share
+// a cache key and a cursor scope. It carries the store captured at entry
+// and the read plan rooted there; the whole read runs against that
+// capture. cacheKey and cursorScope accept only this type, so an
+// un-normalized request can never be keyed or scoped.
+type prepared struct {
+	kind     readKind
+	req      QueryRequest
+	from, to time.Time // the window as checkWindow normalized it
+	db       *tsdb.DB
+	epoch    uint64
+	plan     readPlan
+}
+
+// prepare is the one validation and normalization step in front of
+// every read: it checks the page fields for the kind, the dataset and
+// the window (checkWindow), captures the store (storeRef), and resolves
+// the tier (resolveRead). Latest ignores the window, the page and the
+// tier — it reads each series' newest raw point — so it keeps only the
+// filter, and clients polling with a moving window share one entry.
+// The window is still checked first, so a malformed request is rejected
+// identically by every entry point.
+func (s *Service) prepare(kind readKind, req QueryRequest) (*prepared, error) {
+	switch {
+	case kind == kindPage && (req.Limit < 0 || req.Offset < 0):
+		return nil, fmt.Errorf("archive: negative limit or offset")
+	case kind == kindCursor && req.Limit < 0:
+		return nil, badParam("limit", "archive: negative limit")
+	}
+	from, to, err := s.checkWindow(req)
+	if err != nil {
+		return nil, err
+	}
+	db, epoch := s.storeRef()
+	p := &prepared{kind: kind, req: req, from: from, to: to, db: db, epoch: epoch}
+	switch kind {
+	case kindLatest:
+		p.req = QueryRequest{Dataset: req.Dataset, Type: req.Type, Region: req.Region, AZ: req.AZ}
+		return p, nil
+	case kindQuery:
+		p.req.Limit, p.req.Offset, p.req.Cursor = 0, 0, ""
+	case kindPage:
+		p.req.Cursor = ""
+	case kindCursor:
+		// QueryCursor and the HTTP layer reject an offset next to a
+		// cursor themselves; the HTTP layer does it after echoing the tier.
+		p.req.Offset = 0
+	}
+	if p.plan, err = resolveRead(db, &p.req, from, to); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
 // matchedKeys lists the series keys the request's filter selects from
-// db (the store captured at the query's entry), enforcing the per-query
-// series limit.
-func matchedKeys(db *tsdb.DB, req QueryRequest) ([]tsdb.SeriesKey, error) {
-	keys := db.Keys(tsdb.KeyFilter{Dataset: req.Dataset, Type: req.Type, Region: req.Region, AZ: req.AZ})
+// the store captured at its entry, enforcing the per-query series limit.
+func matchedKeys(p *prepared) ([]tsdb.SeriesKey, error) {
+	keys := p.db.Keys(tsdb.KeyFilter{Dataset: p.req.Dataset, Type: p.req.Type, Region: p.req.Region, AZ: p.req.AZ})
 	if len(keys) > MaxSeriesPerQuery {
 		return nil, fmt.Errorf("archive: query matches %d series, limit %d; narrow the filter", len(keys), MaxSeriesPerQuery)
 	}
 	return keys, nil
+}
+
+// cachedRead answers p from the result cache, or runs read on the
+// matched keys once for all concurrent identical misses (see
+// singleflight.go) and caches what it returns. read reports its value
+// and the number of points in it.
+//
+// The leader captures the generations before matching and reading, so a
+// write racing the read makes the entry stale immediately, never the
+// reverse; coalesced callers share that capture through the entry the
+// leader publishes. Rollup reads are guarded by the raw store's
+// generations too: rollup series only change at checkpoint time, and
+// every checkpoint was preceded by the raw appends (generation bumps)
+// whose points it rolls up. Results over maxCachedPoints are not
+// cached: one-off bulk exports (or clients polling with a unique moving
+// window) would otherwise pin up to queryCacheSize full-archive copies
+// in the LRU without ever hitting.
+func cachedRead[T any](s *Service, p *prepared, read func(keys []tsdb.SeriesKey) (T, int, error)) (T, error) {
+	var zero T
+	db, ck := p.db, cacheKey(p)
+	if v, ok := s.cache.get(ck, p.epoch, db.KeyGeneration(), db.ShardGenerations()); ok {
+		return v.(T), nil
+	}
+	v, err := s.flight.do(ck, func() (any, error) {
+		keyGen, genVec := db.KeyGeneration(), db.ShardGenerations()
+		keys, err := matchedKeys(p)
+		if err != nil {
+			return nil, err
+		}
+		v, points, err := read(keys)
+		if err != nil {
+			return nil, err
+		}
+		if points <= maxCachedPoints {
+			dep, gens := depGenerations(db, keys, genVec)
+			s.cache.put(ck, p.epoch, keyGen, dep, gens, v)
+		}
+		return v, nil
+	})
+	if err != nil {
+		return zero, err
+	}
+	return v.(T), nil
 }
 
 // Query returns every matching series restricted to the window. It fails
@@ -329,68 +441,20 @@ func matchedKeys(db *tsdb.DB, req QueryRequest) ([]tsdb.SeriesKey, error) {
 // generation capture, via the cache entry the leader publishes) every
 // coalesced caller shares.
 func (s *Service) Query(req QueryRequest) ([]SeriesResult, error) {
-	from, to, err := s.checkWindow(req)
+	p, err := s.prepare(kindQuery, req)
 	if err != nil {
 		return nil, err
 	}
-	// Query always returns the full window; zero the page fields so a
-	// caller that set them doesn't fragment the cache.
-	req.Limit, req.Offset, req.Cursor = 0, 0, ""
-	db, epoch := s.storeRef()
-	plan, err := resolveRead(db, &req, from, to)
-	if err != nil {
-		return nil, err
-	}
-	ck := cacheKey("query", req)
-	if v, ok := s.cache.get(ck, epoch, db.KeyGeneration(), db.ShardGenerations()); ok {
-		return v.([]SeriesResult), nil
-	}
-	v, err := s.flight.do(ck, func() (any, error) { return s.queryCold(db, epoch, req, plan, ck, from, to) })
-	if err != nil {
-		return nil, err
-	}
-	return v.([]SeriesResult), nil
+	return s.query(p)
 }
 
-// queryCold is the leader's computation for a Query cache miss.
-func (s *Service) queryCold(db *tsdb.DB, epoch uint64, req QueryRequest, plan readPlan, ck string, from, to time.Time) (any, error) {
-	// Capture the generations before reading: a write racing the fan-out
-	// makes the cached entry stale immediately, never the reverse. The
-	// capture is the leader's own — coalesced followers share it. Rollup
-	// reads are guarded by the RAW store's generations too: rollup series
-	// only change at checkpoint time, and every checkpoint was preceded by
-	// the raw appends (gen bumps) whose points it rolls up.
-	keyGen, genVec := db.KeyGeneration(), db.ShardGenerations()
-	keys, err := matchedKeys(db, req)
-	if err != nil {
-		return nil, err
-	}
-	// Fan out across series; slots keep the sorted key order deterministic.
-	slots := make([][]tsdb.Point, len(keys))
-	errs := make([]error, len(keys))
-	s.fanOut(len(keys), func(i int) {
-		slots[i], errs[i] = plan.db.Query(plan.key(keys[i]), from, to)
+// query answers a request prepared as kindQuery; the HTTP layer calls
+// it directly after echoing the prepared tier.
+func (s *Service) query(p *prepared) ([]SeriesResult, error) {
+	return cachedRead(s, p, func(keys []tsdb.SeriesKey) ([]SeriesResult, int, error) {
+		pg, err := s.readPage(p, keys, nil)
+		return pg.series, pg.points, err
 	})
-	if err := firstErr(errs); err != nil {
-		return nil, err
-	}
-	out := make([]SeriesResult, 0, len(keys))
-	points := 0
-	for i, k := range keys {
-		if len(slots[i]) == 0 {
-			continue
-		}
-		points += len(slots[i])
-		out = append(out, SeriesResult{Key: k, Points: slots[i]})
-	}
-	// Oversized results are not cached: one-off bulk exports (or clients
-	// polling with a unique moving window) would otherwise pin up to 128
-	// full-archive copies in the LRU without ever hitting.
-	if points <= maxCachedPoints {
-		dep, gens := depGenerations(db, keys, genVec)
-		s.cache.put(ck, epoch, keyGen, dep, gens, out)
-	}
-	return out, nil
 }
 
 // firstErr returns the first non-nil error of a fan-out's per-slot error
@@ -435,61 +499,36 @@ type LatestEntry struct {
 	Value float64        `json:"value"`
 }
 
-// Latest returns the most recent value of every matching series. The
-// window it validates is discarded — Latest ignores it — but running the
-// shared check keeps a malformed request rejected identically here and
-// in Query.
+// Latest returns the most recent value of every matching series. It
+// ignores the window, the page and the resolution, but validates the
+// window like every other entry point (see prepare).
 func (s *Service) Latest(req QueryRequest) ([]LatestEntry, error) {
-	if _, _, err := s.checkWindow(req); err != nil {
-		return nil, err
-	}
-	// Latest ignores the window and the page, so the key must too —
-	// otherwise clients polling with a moving from/to fragment the cache.
-	filterOnly := req
-	filterOnly.From, filterOnly.To = time.Time{}, time.Time{}
-	filterOnly.Limit, filterOnly.Offset, filterOnly.Cursor = 0, 0, ""
-	ck := cacheKey("latest", filterOnly)
-	db, epoch := s.storeRef()
-	if v, ok := s.cache.get(ck, epoch, db.KeyGeneration(), db.ShardGenerations()); ok {
-		return v.([]LatestEntry), nil
-	}
-	v, err := s.flight.do(ck, func() (any, error) { return s.latestCold(db, epoch, req, ck) })
+	p, err := s.prepare(kindLatest, req)
 	if err != nil {
 		return nil, err
 	}
-	return v.([]LatestEntry), nil
-}
-
-// latestCold is the leader's computation for a Latest cache miss.
-func (s *Service) latestCold(db *tsdb.DB, epoch uint64, req QueryRequest, ck string) (any, error) {
-	keyGen, genVec := db.KeyGeneration(), db.ShardGenerations()
-	keys, err := matchedKeys(db, req)
-	if err != nil {
-		return nil, err
-	}
-	type slot struct {
-		p  tsdb.Point
-		ok bool
-	}
-	slots := make([]slot, len(keys))
-	errs := make([]error, len(keys))
-	s.fanOut(len(keys), func(i int) {
-		p, ok, err := db.Last(keys[i])
-		slots[i], errs[i] = slot{p: p, ok: ok}, err
-	})
-	if err := firstErr(errs); err != nil {
-		return nil, err
-	}
-	out := make([]LatestEntry, 0, len(keys))
-	for i, k := range keys {
-		if !slots[i].ok {
-			continue
+	return cachedRead(s, p, func(keys []tsdb.SeriesKey) ([]LatestEntry, int, error) {
+		type slot struct {
+			p  tsdb.Point
+			ok bool
 		}
-		out = append(out, LatestEntry{Key: k, At: slots[i].p.At, Value: slots[i].p.Value})
-	}
-	dep, gens := depGenerations(db, keys, genVec)
-	s.cache.put(ck, epoch, keyGen, dep, gens, out)
-	return out, nil
+		slots := make([]slot, len(keys))
+		errs := make([]error, len(keys))
+		s.fanOut(len(keys), func(i int) {
+			pt, ok, err := p.db.Last(keys[i])
+			slots[i], errs[i] = slot{p: pt, ok: ok}, err
+		})
+		if err := firstErr(errs); err != nil {
+			return nil, 0, err
+		}
+		out := make([]LatestEntry, 0, len(keys))
+		for i, k := range keys {
+			if slots[i].ok {
+				out = append(out, LatestEntry{Key: k, At: slots[i].p.At, Value: slots[i].p.Value})
+			}
+		}
+		return out, len(out), nil
+	})
 }
 
 // APIVersion names the /api/v1 response contract; /api/v1/meta reports

@@ -113,7 +113,13 @@ func BenchmarkQueryCursor(b *testing.B) {
 	base := time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
 	curKey := keys[190].String()
 	curAt := base.Add(250 * time.Minute)
-	scope := cursorScope(req)
+	// Mint from the prepared request: QueryCursor scopes tokens after
+	// normalizing the tier, so a scope of the raw request never matches.
+	p, err := svc.prepare(kindCursor, req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	scope := cursorScope(p)
 
 	b.Run("cursor", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

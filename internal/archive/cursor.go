@@ -1,33 +1,23 @@
 package archive
 
-// Keyset-cursor pagination over the query result's point stream.
-//
-// Offset pagination (paging.go) windows the flattened stream by counting
-// from its start, so a collector tick that appends points before the
-// client's current offset shifts every later point and the next page
-// re-serves (or skips) data. A cursor instead names a fixed position in
-// the stream — the canonical key and timestamp of the last point already
-// delivered — and the next page resumes strictly after it. Because the
-// archive is append-only and per-series time-ordered, that position
-// never moves: concatenated cursor pages contain every point that
-// existed when the walk started exactly once, no matter how many appends
-// land between page requests. This is the keyset/token pattern of the
-// paper backend's own pagination (Timestream-style next tokens) adapted
-// to the flattened (series, time) order the archive serves.
+// Keyset-cursor tokens. A cursor names a fixed position in the query's
+// point stream (see the page engine in paging.go) — the canonical key,
+// timestamp and sequence count of the last point delivered — in the
+// style of the paper backend's own pagination (Timestream-style next
+// tokens).
 //
 // The token is opaque and URL-safe: a base64url encoding of a version
-// byte, a 64-bit scope hash of the request's filter and window, the
-// last-delivered timestamp, a sequence count, and the canonical series
-// key. The sequence count says how many points at exactly that
-// timestamp have been delivered: the store accepts equal-timestamp
-// appends (and pre-resume-fix archives contain them), so a bare
-// timestamp cannot address a page boundary inside such a run — without
-// the count, the run's undelivered remainder would be silently skipped
-// on resume. The scope hash pins a token to the exact query that minted
-// it — replaying a cursor against a different filter or window would
-// silently skip or duplicate data, so it is rejected instead (tokens
-// "expire" when the query changes). Clients must treat the token as a
-// black box.
+// byte, a 64-bit scope hash of the prepared request's filter, window and
+// tier, the last-delivered timestamp, the sequence count, and the
+// canonical series key. The sequence count says how many points at
+// exactly that timestamp have been delivered: the store accepts
+// equal-timestamp appends, so a bare timestamp cannot address a page
+// boundary inside such a run, and the run's undelivered remainder would
+// be silently skipped on resume. The scope hash pins a token to the
+// query that minted it — replaying a cursor against a different filter
+// or window would silently skip or duplicate data, so it is rejected
+// instead (tokens "expire" when the query changes). Clients must treat
+// the token as a black box.
 
 import (
 	"encoding/base64"
@@ -35,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"time"
 
 	"repro/internal/tsdb"
@@ -49,10 +38,16 @@ var ErrBadCursor = errors.New("archive: invalid cursor")
 const cursorVersion = 1
 
 // cursorScope hashes the request fields a cursor token must match: the
-// series filter and the time window (FNV-1a 64, with '|' separators so
-// adjacent fields cannot alias). Limit is deliberately excluded — a
-// client may change page sizes mid-walk without losing its position.
-func cursorScope(req QueryRequest) uint64 {
+// series filter, the time window and the effective tier (FNV-1a 64, with
+// '|' separators so adjacent fields cannot alias). Limit is deliberately
+// excluded — a client may change page sizes mid-walk without losing its
+// position. Taking a prepared request means the tier is scoped after
+// normalization: a token minted at one tier addresses that tier's point
+// stream and must not resume a walk at another (the streams differ in
+// both density and values), while an `auto` token interoperates with the
+// equivalent explicit request.
+func cursorScope(p *prepared) uint64 {
+	req := &p.req
 	h := fnv.New64a()
 	var b [8]byte
 	mix := func(s string) {
@@ -69,12 +64,6 @@ func cursorScope(req QueryRequest) uint64 {
 	mix(req.AZ)
 	mixInt(req.From.UnixNano())
 	mixInt(req.To.UnixNano())
-	// Resolution and aggregate are scoped after normalization
-	// (resolveRead): a token minted at one tier addresses that tier's
-	// point stream and must not resume a walk at another — the streams
-	// differ in both density and values. `auto` normalizes to the tier it
-	// picked, so auto-minted tokens interoperate with the equivalent
-	// explicit request.
 	mix(req.Resolution)
 	mix(req.Agg)
 	return h.Sum64()
@@ -92,26 +81,37 @@ func encodeCursor(scope uint64, key string, at time.Time, seq uint32) string {
 	return base64.RawURLEncoding.EncodeToString(buf)
 }
 
+// cursorPos is a position in the point stream: every point of the
+// series with canonical key key before time at, plus the first seq
+// points at exactly at, has been delivered.
+type cursorPos struct {
+	key string
+	at  time.Time
+	seq int
+}
+
 // decodeCursor validates and unpacks a token against the scope of the
 // request presenting it. Every failure wraps ErrBadCursor.
-func decodeCursor(token string, scope uint64) (key string, at time.Time, seq int, err error) {
+func decodeCursor(token string, scope uint64) (cursorPos, error) {
 	raw, err := base64.RawURLEncoding.DecodeString(token)
 	if err != nil || len(raw) < 1+8+8+4 {
-		return "", time.Time{}, 0, fmt.Errorf("%w: malformed token", ErrBadCursor)
+		return cursorPos{}, fmt.Errorf("%w: malformed token", ErrBadCursor)
 	}
 	if raw[0] != cursorVersion {
-		return "", time.Time{}, 0, fmt.Errorf("%w: unknown token version %d", ErrBadCursor, raw[0])
+		return cursorPos{}, fmt.Errorf("%w: unknown token version %d", ErrBadCursor, raw[0])
 	}
 	if got := binary.LittleEndian.Uint64(raw[1:9]); got != scope {
-		return "", time.Time{}, 0, fmt.Errorf("%w: token was issued for a different filter or window (cursors expire when the query changes)", ErrBadCursor)
+		return cursorPos{}, fmt.Errorf("%w: token was issued for a different filter or window (cursors expire when the query changes)", ErrBadCursor)
 	}
-	key = string(raw[21:])
+	key := string(raw[21:])
 	if _, err := tsdb.ParseSeriesKey(key); err != nil {
-		return "", time.Time{}, 0, fmt.Errorf("%w: malformed series key", ErrBadCursor)
+		return cursorPos{}, fmt.Errorf("%w: malformed series key", ErrBadCursor)
 	}
-	at = time.Unix(0, int64(binary.LittleEndian.Uint64(raw[9:17]))).UTC()
-	seq = int(binary.LittleEndian.Uint32(raw[17:21]))
-	return key, at, seq, nil
+	return cursorPos{
+		key: key,
+		at:  time.Unix(0, int64(binary.LittleEndian.Uint64(raw[9:17]))).UTC(),
+		seq: int(binary.LittleEndian.Uint32(raw[17:21])),
+	}, nil
 }
 
 // CursorPage is one page of a query's point stream located by cursor.
@@ -129,37 +129,31 @@ type CursorPage struct {
 
 // QueryCursor returns the page of the query's point stream that starts
 // after req.Cursor's position (or at the stream's start for an empty
-// cursor), holding at most req.Limit points (0 = all remaining). It uses
-// the same span mapping and per-series copy fan-out as QueryPaged (the
-// count pass runs sequentially so it can stop at the page boundary),
-// and the page is cached under the cursor token with the same
-// generation guard, so a repeated page request hits while any write to
-// a depended-on shard invalidates. Unlike an offset page, the result is stable under live
-// appends: the resume position is a fixed (key, timestamp) pair, so
-// concurrent collection can only add points after it, never shift it.
+// cursor), holding at most req.Limit points (0 = all remaining). The
+// page is cached under the cursor token with the same generation guard
+// as every read, so a repeated page request hits while any write to a
+// depended-on shard invalidates. Unlike an offset page, the result is
+// stable under live appends: the resume position is fixed, so concurrent
+// collection can only add points after it, never shift it.
 func (s *Service) QueryCursor(req QueryRequest) (*CursorPage, error) {
-	if req.Limit < 0 {
-		return nil, badParam("limit", "archive: negative limit")
+	p, err := s.prepare(kindCursor, req)
+	if err != nil {
+		return nil, err
 	}
 	if req.Offset != 0 {
 		return nil, fmt.Errorf("archive: cursor and offset are mutually exclusive")
 	}
-	from, to, err := s.checkWindow(req)
-	if err != nil {
-		return nil, err
-	}
-	db, epoch := s.storeRef()
-	plan, err := resolveRead(db, &req, from, to)
-	if err != nil {
-		return nil, err
-	}
-	scope := cursorScope(req)
-	var curKey string
-	var curAt time.Time
-	var curSeq int
-	resuming := req.Cursor != ""
-	if resuming {
-		if curKey, curAt, curSeq, err = decodeCursor(req.Cursor, scope); err != nil {
+	return s.queryCursor(p)
+}
+
+// queryCursor answers a request prepared as kindCursor, first checking
+// its token against the prepared scope, window and retention cut.
+func (s *Service) queryCursor(p *prepared) (*CursorPage, error) {
+	scope := cursorScope(p)
+	var pos *cursorPos
+	if p.req.Cursor != "" {
+		c, err := decodeCursor(p.req.Cursor, scope)
+		if err != nil {
 			return nil, err
 		}
 		// Genuine tokens are minted from in-window points, so a position
@@ -167,7 +161,7 @@ func (s *Service) QueryCursor(req QueryRequest) (*CursorPage, error) {
 		// against accidents, not a MAC): reject it, because the seek
 		// primitives resume from the position's timestamp and would
 		// otherwise serve the cursor series' pre-window points.
-		if curAt.Before(from) || curAt.After(to) {
+		if c.at.Before(p.from) || c.at.After(p.to) {
 			return nil, fmt.Errorf("%w: token position lies outside the query window", ErrBadCursor)
 		}
 		// A raw-tier token can point into history that retention has since
@@ -176,157 +170,40 @@ func (s *Service) QueryCursor(req QueryRequest) (*CursorPage, error) {
 		// exactly the hole this walk was promised not to have — so the
 		// token expires instead; the client restarts at the current head
 		// or re-queries a rollup tier, which retention never drops.
-		if plan.res == "raw" {
-			if sk, err := tsdb.ParseSeriesKey(curKey); err == nil {
-				if cut, ok := db.RetentionCut(sk.Dataset); ok && curAt.Before(cut) {
+		if p.plan.res == "raw" {
+			if sk, err := tsdb.ParseSeriesKey(c.key); err == nil {
+				if cut, ok := p.db.RetentionCut(sk.Dataset); ok && c.at.Before(cut) {
 					return nil, fmt.Errorf("%w: token position precedes dataset %q's raw retention horizon (raw points there have been rolled up and dropped); restart the walk or query resolution=1h/1d", ErrBadCursor, sk.Dataset)
 				}
 			}
 		}
+		pos = &c
 	}
-	ck := cacheKey("cursor", req)
-	if v, ok := s.cache.get(ck, epoch, db.KeyGeneration(), db.ShardGenerations()); ok {
-		return v.(*CursorPage), nil
-	}
-	// Concurrent identical cold page requests (many clients replaying the
-	// same walk position) collapse onto one computation.
-	v, err := s.flight.do(ck, func() (any, error) {
-		return s.cursorCold(db, epoch, req, plan, ck, from, to, curKey, curAt, curSeq, resuming)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*CursorPage), nil
-}
-
-// cursorCold is the leader's computation for a QueryCursor cache miss.
-func (s *Service) cursorCold(db *tsdb.DB, epoch uint64, req QueryRequest, plan readPlan, ck string, from, to time.Time, curKey string, curAt time.Time, curSeq int, resuming bool) (any, error) {
-	// Capture the generations before reading, like every query path.
-	keyGen, genVec := db.KeyGeneration(), db.ShardGenerations()
-	scope := cursorScope(req)
-	keys, err := matchedKeys(db, req)
-	if err != nil {
-		return nil, err
-	}
-	// Seek: binary-search the sorted key list for the cursor's series.
-	// Series before it are already fully delivered and are never counted
-	// or locked again — a deep cursor page does O(log series) work to
-	// skip the prefix an equivalent offset page would re-count in full.
-	start := 0
-	if resuming {
-		start = sort.Search(len(keys), func(i int) bool { return keys[i].String() >= curKey })
-	}
-	rest := keys[start:]
-	// Only the first remaining series can be the cursor's own (keys are
-	// sorted unique); decide it once instead of rendering every
-	// remaining key's canonical form in both passes.
-	cursorOwn := resuming && len(rest) > 0 && rest[0].String() == curKey
-	// Pass 1: count the remaining in-window points per series, in key
-	// order, stopping as soon as the page is provably full (limit points
-	// plus at least one more to decide NextCursor). The cursor's own
-	// series counts only points past the cursor position; later series
-	// count their whole window. Unlike the offset path, no total is
-	// reported — it would be stale the moment it was computed — so a
-	// page never pays to count the series still ahead of it, and each
-	// page of a walk is O(series in the page), not O(series remaining).
-	// A zero limit means "everything after the cursor": that single page
-	// necessarily counts it all.
-	counts := make([]int, 0, len(rest))
-	total := 0
-	for i := range rest {
-		var c int
-		var err error
-		if i == 0 && cursorOwn {
-			c, err = plan.db.CountAfter(plan.key(rest[i]), curAt, curSeq, to)
-		} else {
-			c, err = plan.db.CountRange(plan.key(rest[i]), from, to)
-		}
+	return cachedRead(s, p, func(keys []tsdb.SeriesKey) (*CursorPage, int, error) {
+		pg, err := s.readPage(p, keys, pos)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		counts = append(counts, c)
-		total += c
-		if req.Limit > 0 && total > req.Limit {
-			break
+		cp := &CursorPage{Series: pg.series, Limit: p.req.Limit}
+		if pg.end < pg.total && pg.points > 0 {
+			// The next position is (at, n): n counts the points at exactly
+			// at already delivered, so a boundary inside an equal-timestamp
+			// run resumes at the run's remainder instead of skipping it. n
+			// is the trailing equal-timestamp run of the page's last slice
+			// — plus the incoming cursor's own count when the page never
+			// advanced past the position it resumed at (same series, same
+			// timestamp, whole slice inside the run).
+			last := pg.series[len(pg.series)-1]
+			key, at := last.Key.String(), last.Points[len(last.Points)-1].At
+			n := 0
+			for i := len(last.Points) - 1; i >= 0 && last.Points[i].At.Equal(at); i-- {
+				n++
+			}
+			if n == len(last.Points) && pos != nil && pos.key == key && pos.at.Equal(at) {
+				n += pos.seq
+			}
+			cp.NextCursor = encodeCursor(scope, key, at, uint32(n))
 		}
-	}
-	// The page is the first hi points of the counted stream; spans map
-	// it onto per-series prefixes (the remainder always starts at the
-	// cursor, so no span skips within its series). total > limit is the
-	// "more points exist" signal: the count loop above only stops early
-	// once it has proven it.
-	hi := total
-	if req.Limit > 0 && req.Limit < total {
-		hi = req.Limit
-	}
-	var spans []pageSpan
-	cum := 0
-	for i, c := range counts {
-		if n := min(hi-cum, c); n > 0 {
-			spans = append(spans, pageSpan{key: i, n: n})
-		}
-		cum += c
-		if cum >= hi {
-			break
-		}
-	}
-	// Pass 2: copy only the page's points. Appends racing this pass can
-	// only grow series beyond the counted prefix, so each span still
-	// resolves to exactly the points pass 1 counted.
-	slots := make([][]tsdb.Point, len(spans))
-	spanErrs := make([]error, len(spans))
-	s.fanOut(len(spans), func(j int) {
-		sp := spans[j]
-		k := plan.key(rest[sp.key])
-		if sp.key == 0 && cursorOwn {
-			slots[j], spanErrs[j] = plan.db.QueryAfter(k, curAt, curSeq, to, sp.n)
-		} else {
-			slots[j], spanErrs[j] = plan.db.QueryRange(k, from, to, 0, sp.n)
-		}
+		return cp, pg.points, nil
 	})
-	if err := firstErr(spanErrs); err != nil {
-		return nil, err
-	}
-	page := &CursorPage{
-		Series: make([]SeriesResult, 0, len(spans)),
-		Limit:  req.Limit,
-	}
-	points := 0
-	var lastKey string
-	var lastAt time.Time
-	var lastSlice []tsdb.Point
-	lastSpan := -1
-	for j, sp := range spans {
-		if len(slots[j]) == 0 {
-			continue
-		}
-		points += len(slots[j])
-		page.Series = append(page.Series, SeriesResult{Key: rest[sp.key], Points: slots[j]})
-		lastKey = rest[sp.key].String()
-		lastSlice = slots[j]
-		lastAt = lastSlice[len(lastSlice)-1].At
-		lastSpan = sp.key
-	}
-	if hi < total && points > 0 {
-		// The next position is (lastAt, n): n counts the points at
-		// exactly lastAt already delivered, so a boundary inside an
-		// equal-timestamp run resumes at the run's remainder instead of
-		// skipping it. n is the trailing equal-timestamp run of this
-		// page's last slice — plus the incoming cursor's own count when
-		// this page never advanced past the position it resumed at
-		// (same series, same timestamp, whole slice inside the run).
-		n := 0
-		for i := len(lastSlice) - 1; i >= 0 && lastSlice[i].At.Equal(lastAt); i-- {
-			n++
-		}
-		if n == len(lastSlice) && lastSpan == 0 && cursorOwn && curAt.Equal(lastAt) {
-			n += curSeq
-		}
-		page.NextCursor = encodeCursor(scope, lastKey, lastAt, uint32(n))
-	}
-	if points <= maxCachedPoints {
-		dep, gens := depGenerations(db, keys, genVec)
-		s.cache.put(ck, epoch, keyGen, dep, gens, page)
-	}
-	return page, nil
 }

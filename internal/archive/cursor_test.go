@@ -378,7 +378,7 @@ func TestCursorTokenValidation(t *testing.T) {
 	// timestamp to before the window must not leak pre-window points.
 	winReq := QueryRequest{Dataset: req.Dataset, From: cursorT0.Add(2 * time.Minute), Limit: 5}
 	tampered := winReq
-	tampered.Cursor = encodeCursor(cursorScope(winReq), cursorStoreKey(0).String(), cursorT0, 0)
+	tampered.Cursor = encodeCursor(cursorScope(mustPrepare(t, s, kindCursor, winReq)), cursorStoreKey(0).String(), cursorT0, 0)
 	if _, err := s.QueryCursor(tampered); !errors.Is(err, ErrBadCursor) {
 		t.Fatalf("tampered out-of-window timestamp accepted: %v", err)
 	}
@@ -387,7 +387,7 @@ func TestCursorTokenValidation(t *testing.T) {
 	for name, tok := range map[string]string{
 		"not base64":    "!!!not-base64!!!",
 		"too short":     base64.RawURLEncoding.EncodeToString([]byte{cursorVersion, 1, 2}),
-		"bad key":       encodeCursor(cursorScope(QueryRequest{Dataset: req.Dataset}), "notakey", cursorT0, 0),
+		"bad key":       encodeCursor(cursorScope(mustPrepare(t, s, kindCursor, QueryRequest{Dataset: req.Dataset})), "notakey", cursorT0, 0),
 		"wrong version": base64.RawURLEncoding.EncodeToString(append([]byte{99}, make([]byte, 30)...)),
 	} {
 		bad := req

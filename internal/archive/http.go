@@ -358,25 +358,41 @@ func (s *Service) Handler() http.Handler {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		// Echo the tier the request resolves to, so `auto` clients know
-		// which resolution answered. Resolution errors surface through
-		// the query call below, with the window validated identically.
-		if res, rerr := s.EffectiveResolution(req); rerr == nil {
-			w.Header().Set("X-Resolution", res)
-		}
 		// A cursor parameter — even an empty one, which starts a walk at
 		// the head of the stream — selects keyset pagination: the page
 		// position is a fixed (series, timestamp) token, so slow walkers
 		// stay consistent under live collection where offsets would
-		// drift. Offset and cursor name positions in incompatible ways,
-		// so presenting both is rejected rather than guessed at.
-		if q := r.URL.Query(); q.Has("cursor") {
+		// drift. Otherwise a limit or offset selects the offset-paginated
+		// path. Either way the body stays a JSON array of series (the
+		// page's slice of the point stream), with the page metadata in
+		// headers so unpaginated clients keep working unchanged.
+		q := r.URL.Query()
+		kind := kindQuery
+		switch {
+		case q.Has("cursor"):
+			kind = kindCursor
+		case req.Limit > 0 || req.Offset > 0:
+			kind = kindPage
+			setOffsetDeprecation(w)
+		}
+		p, err := s.prepare(kind, req)
+		if err != nil {
+			queryErr(w, err)
+			return
+		}
+		// Echo the tier the request resolved to, so `auto` clients know
+		// which resolution answered — error responses from here on too.
+		w.Header().Set("X-Resolution", p.plan.res)
+		switch kind {
+		case kindCursor:
+			// Offset and cursor name positions in incompatible ways, so
+			// presenting both is rejected rather than guessed at.
 			if q.Has("offset") {
 				writeErr(w, http.StatusBadRequest,
 					fmt.Errorf("archive: cursor and offset are mutually exclusive; walk with one or the other"))
 				return
 			}
-			page, err := s.QueryCursor(req)
+			page, err := s.queryCursor(p)
 			if err != nil {
 				queryErr(w, err)
 				return
@@ -385,15 +401,8 @@ func (s *Service) Handler() http.Handler {
 				setNextLink(w, r, "X-Next-Cursor", "cursor", page.NextCursor)
 			}
 			streamSeriesJSON(w, http.StatusOK, page.Series)
-			return
-		}
-		// A limit or offset selects the offset-paginated path; the body
-		// stays a JSON array of series (the page's slice of the point
-		// stream), with the page metadata in headers so unpaginated
-		// clients keep working unchanged.
-		if req.Limit > 0 || req.Offset > 0 {
-			setOffsetDeprecation(w)
-			page, err := s.QueryPaged(req)
+		case kindPage:
+			page, err := s.queryPaged(p)
 			if err != nil {
 				queryErr(w, err)
 				return
@@ -403,19 +412,19 @@ func (s *Service) Handler() http.Handler {
 				setNextLink(w, r, "X-Next-Offset", "offset", strconv.Itoa(page.NextOffset))
 			}
 			streamSeriesJSON(w, http.StatusOK, page.Series)
-			return
+		default:
+			res, err := s.query(p)
+			if err != nil {
+				queryErr(w, err)
+				return
+			}
+			total := 0
+			for i := range res {
+				total += len(res[i].Points)
+			}
+			w.Header().Set("X-Total-Points", strconv.Itoa(total))
+			streamSeriesJSON(w, http.StatusOK, res)
 		}
-		res, err := s.Query(req)
-		if err != nil {
-			queryErr(w, err)
-			return
-		}
-		total := 0
-		for i := range res {
-			total += len(res[i].Points)
-		}
-		w.Header().Set("X-Total-Points", strconv.Itoa(total))
-		streamSeriesJSON(w, http.StatusOK, res)
 	})
 
 	mux.HandleFunc("GET /api/v1/latest", func(w http.ResponseWriter, r *http.Request) {

@@ -59,22 +59,19 @@ func (p *readPlan) key(k tsdb.SeriesKey) tsdb.SeriesKey {
 // The HTTP layer echoes it as X-Resolution so `auto` clients know which
 // tier answered.
 func (s *Service) EffectiveResolution(req QueryRequest) (string, error) {
-	from, to, err := s.checkWindow(req)
+	p, err := s.prepare(kindQuery, req)
 	if err != nil {
 		return "", err
 	}
-	plan, err := resolveRead(s.store(), &req, from, to)
-	if err != nil {
-		return "", err
-	}
-	return plan.res, nil
+	return p.plan.res, nil
 }
 
 // resolveRead validates req's Resolution/Agg and resolves auto against
 // the window, returning the read plan rooted at db (the store captured
 // at the query's entry — the plan must not outlive a swap into a
-// different store). It normalizes req.Resolution and req.Agg in place so
-// cache keys and cursor scopes are built from the effective values.
+// different store). It normalizes req.Resolution and req.Agg in place;
+// prepare is its only caller, so cache keys and cursor scopes are always
+// built from the effective values.
 // Unknown values fail naming the parameter; an explicit 1h/1d against a
 // store without rollup tiers fails too, while auto degrades to raw there
 // (the caller asked for "whatever is cheapest", and raw is all that

@@ -1048,20 +1048,13 @@ func (db *DB) lastPointLocked(s *series) (Point, bool, error) {
 }
 
 // rangeBounds returns the global index window [lo, hi) of the series'
-// points falling within [from, to]. This is the single source of window
-// semantics for every range read — pagination relies on the count pass
-// and the copy pass agreeing exactly, across both tiers. On a cold read
-// error both passes fail identically instead of disagreeing silently.
+// points falling within [from, to]: the window after the position
+// (from, 0). Range and cursor reads thus share one window definition —
+// pagination relies on the count pass and the copy pass agreeing
+// exactly, across both tiers. On a cold read error both passes fail
+// identically instead of disagreeing silently.
 func (db *DB) rangeBounds(s *series, from, to time.Time) (lo, hi int, err error) {
-	lo, err = db.searchSeries(s, func(t time.Time) bool { return !t.Before(from) })
-	if err != nil {
-		return 0, 0, err
-	}
-	hi, err = db.searchSeries(s, func(t time.Time) bool { return t.After(to) })
-	if err != nil {
-		return 0, 0, err
-	}
-	return lo, hi, nil
+	return db.afterBounds(s, from, 0, to)
 }
 
 // CountRange returns how many points of the series fall within [from, to]
