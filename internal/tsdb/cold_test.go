@@ -115,6 +115,65 @@ func sealedOpts() Options {
 	return Options{Shards: 4, RotateBytes: 2048, HotTailPoints: 4, BlockPoints: 8, BlockCacheBytes: 1 << 12}
 }
 
+// firstPointDiff returns the first index at which the two point slices
+// differ in length, timestamp or value bits, or -1 when they are equal.
+func firstPointDiff(got, want []Point) int {
+	for i := 0; i < max(len(got), len(want)); i++ {
+		if i >= len(got) || i >= len(want) || !got[i].At.Equal(want[i].At) ||
+			math.Float64bits(got[i].Value) != math.Float64bits(want[i].Value) {
+			return i
+		}
+	}
+	return -1
+}
+
+// compareWithRef checks every windowed read primitive of db against the
+// brute-force reference over the window [from, to]: counts, offset pages,
+// after-position pages at seqs that stop inside and overshoot an
+// equal-timestamp run, step values at and just after from, the window
+// mean, and a grid that starts before from.
+func compareWithRef(t *testing.T, what string, db *DB, ref *refDB, k SeriesKey, from, to time.Time) {
+	t.Helper()
+	if g, w := noerr(db.CountRange(k, from, to)), len(ref.query(k, from, to)); g != w {
+		t.Fatalf("%s: CountRange = %d, reference %d", what, g, w)
+	}
+	if g, w := noerr(db.QueryRange(k, from, to, 3, 11)), ref.queryRange(k, from, to, 3, 11); firstPointDiff(g, w) >= 0 {
+		t.Fatalf("%s: QueryRange = %v, reference %v", what, g, w)
+	}
+	for _, seq := range []int{0, 1, 3} {
+		w := ref.after(k, from, seq, to)
+		if g := noerr(db.CountAfter(k, from, seq, to)); g != len(w) {
+			t.Fatalf("%s: CountAfter(seq %d) = %d, reference %d", what, seq, g, len(w))
+		}
+		w = w[:min(6, len(w))]
+		if g := noerr(db.QueryAfter(k, from, seq, to, 6)); firstPointDiff(g, w) >= 0 {
+			t.Fatalf("%s: QueryAfter(seq %d) = %v, reference %v", what, seq, g, w)
+		}
+	}
+	for _, at := range []time.Time{from, from.Add(time.Second)} {
+		gv, gok := noerr2(db.ValueAt(k, at))
+		wv, wok := ref.valueAt(k, at)
+		if gok != wok || math.Float64bits(gv) != math.Float64bits(wv) {
+			t.Fatalf("%s: ValueAt(%v) = (%v,%v), reference (%v,%v)", what, at, gv, gok, wv, wok)
+		}
+	}
+	gm, gok := noerr2(db.WindowMean(k, from, to.Add(time.Second)))
+	wm, wok := ref.windowMean(k, from, to.Add(time.Second))
+	if gok != wok || math.Float64bits(gm) != math.Float64bits(wm) {
+		t.Fatalf("%s: WindowMean = (%v,%v), reference (%v,%v)", what, gm, gok, wm, wok)
+	}
+	gg := noerr(db.Grid(k, from.Add(-300*time.Second), to, 97*time.Second))
+	wg := ref.grid(k, from.Add(-300*time.Second), to, 97*time.Second)
+	if len(gg) != len(wg) {
+		t.Fatalf("%s: Grid length %d, reference %d", what, len(gg), len(wg))
+	}
+	for i := range wg {
+		if math.Float64bits(gg[i]) != math.Float64bits(wg[i]) {
+			t.Fatalf("%s: Grid[%d] = %v, reference %v", what, i, gg[i], wg[i])
+		}
+	}
+}
+
 // walkCursor pages through the series with QueryAfter, advancing a
 // keyset cursor exactly the way the archive's pagination does, and
 // returns the concatenation of all pages plus the page count.
@@ -195,8 +254,8 @@ func TestSealedStoreMatchesReference(t *testing.T) {
 				if g, w := noerr(db.CountRange(k, from, to)), noerr(mem.CountRange(k, from, to)); g != w {
 					t.Fatalf("%s: %v CountRange[%d] = %d, want %d", stage, k, i, g, w)
 				}
-				if g, w := noerr(db.QueryRange(k, from, to, 3, 11)), noerr(mem.QueryRange(k, from, to, 3, 11)); len(g) != len(w) {
-					t.Fatalf("%s: %v QueryRange[%d] = %d points, want %d", stage, k, i, len(g), len(w))
+				if g, w := noerr(db.QueryRange(k, from, to, 3, 11)), noerr(mem.QueryRange(k, from, to, 3, 11)); firstPointDiff(g, w) >= 0 {
+					t.Fatalf("%s: %v QueryRange[%d] = %v, want %v", stage, k, i, g, w)
 				}
 				if g, w := noerr(db.CountAfter(k, from, 1, end)), noerr(mem.CountAfter(k, from, 1, end)); g != w {
 					t.Fatalf("%s: %v CountAfter[%d] = %d, want %d", stage, k, i, g, w)
@@ -235,6 +294,40 @@ func TestSealedStoreMatchesReference(t *testing.T) {
 			wl, wlok := noerr2(mem.Last(k))
 			if glok != wlok || !gl.At.Equal(wl.At) || gl.Value != wl.Value {
 				t.Fatalf("%s: %v Last = (%v,%v), want (%v,%v)", stage, k, gl, glok, wl, wlok)
+			}
+		}
+		// Every primitive against the brute-force reference as well: the
+		// memory store above runs the same read engine as the sealed one,
+		// so only the reference can catch a fault the two share.
+		for _, k := range append(sealKeys(), SeriesKey{Dataset: DatasetPrice, Type: "never", Region: "written"}) {
+			all := ref.query(k, time.Time{}, end)
+			if got, _ := walkCursor(db, k, end, 5); firstPointDiff(got, all) >= 0 {
+				t.Fatalf("%s: %v cursor walk disagrees with the reference", stage, k)
+			}
+			if g, w := noerr(db.ChangeIntervals(k)), ref.changeIntervals(k); len(g) != len(w) {
+				t.Fatalf("%s: %v ChangeIntervals length %d, reference %d", stage, k, len(g), len(w))
+			} else {
+				for i := range w {
+					if g[i] != w[i] {
+						t.Fatalf("%s: %v ChangeIntervals[%d] = %v, reference %v", stage, k, i, g[i], w[i])
+					}
+				}
+			}
+			gl, glok := noerr2(db.Last(k))
+			wl, wlok := ref.last(k)
+			if glok != wlok || firstPointDiff([]Point{gl}, []Point{wl}) >= 0 {
+				t.Fatalf("%s: %v Last = (%v,%v), reference (%v,%v)", stage, k, gl, glok, wl, wlok)
+			}
+			// The first window spans the whole workload (its points lie
+			// within three hours of t0); the grid's step keeps it short.
+			windows := [][2]time.Time{{t0.Add(-time.Minute), t0.Add(3 * time.Hour)}}
+			for _, i := range []int{0, len(all) / 3, len(all) / 2, len(all) - 1} {
+				if i >= 0 && i < len(all) {
+					windows = append(windows, [2]time.Time{all[i].At, all[min(i+17, len(all)-1)].At})
+				}
+			}
+			for wi, w := range windows {
+				compareWithRef(t, fmt.Sprintf("%s: %v window %d", stage, k, wi), db, ref, k, w[0], w[1])
 			}
 		}
 	}

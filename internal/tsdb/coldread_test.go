@@ -87,9 +87,29 @@ func TestColdReadErrorSurfaces(t *testing.T) {
 		t.Fatalf("Grid error = %v, want ErrColdRead", err)
 	}
 
-	// Counting never decodes blocks (counts live in the CRC'd index), and
-	// the hot tail is still in memory: both must keep working so the
-	// store degrades read-by-read, not wholesale.
+	// A step lookup and a cursor count whose boundary falls strictly
+	// inside the damaged block must decode it, so both fail too, and each
+	// failure is counted.
+	mid := t0.Add(3 * time.Minute)
+	errs := db.ColdReadErrors()
+	if _, _, err := db.ValueAt(k, mid); !errors.Is(err, ErrColdRead) {
+		t.Fatalf("ValueAt error = %v, want ErrColdRead", err)
+	}
+	if db.ColdReadErrors() <= errs {
+		t.Fatalf("ValueAt's failed decode was not counted: ColdReadErrors stayed %d", errs)
+	}
+	errs = db.ColdReadErrors()
+	if _, err := db.CountAfter(k, mid, 0, end); !errors.Is(err, ErrColdRead) {
+		t.Fatalf("CountAfter error = %v, want ErrColdRead", err)
+	}
+	if db.ColdReadErrors() <= errs {
+		t.Fatalf("CountAfter's failed decode was not counted: ColdReadErrors stayed %d", errs)
+	}
+
+	// A count whose boundaries fall on block edges decodes nothing (block
+	// extents and counts live in the CRC'd index), and the hot tail is
+	// still in memory: both must keep working so the store degrades
+	// read-by-read, not wholesale.
 	if n, err := db.CountRange(k, time.Time{}, end); err != nil || n != len(entries) {
 		t.Fatalf("CountRange = (%d, %v), want (%d, nil)", n, err, len(entries))
 	}

@@ -64,6 +64,97 @@ func (r *refDB) valueAt(k SeriesKey, t time.Time) (float64, bool) {
 	return v, ok
 }
 
+// queryRange is QueryRange by linear scan: the window's points, minus the
+// first skip, cut to max when max is non-negative.
+func (r *refDB) queryRange(k SeriesKey, from, to time.Time, skip, max int) []Point {
+	pts := r.query(k, from, to)
+	if skip > 0 {
+		if skip >= len(pts) {
+			return nil
+		}
+		pts = pts[skip:]
+	}
+	if max >= 0 && max < len(pts) {
+		pts = pts[:max]
+	}
+	return pts
+}
+
+// after is the window behind QueryAfter and CountAfter by linear scan:
+// the points at or before to that follow the position (after, seq),
+// which consumes every earlier point plus the first seq points stamped
+// exactly after (never more than that run holds).
+func (r *refDB) after(k SeriesKey, after time.Time, seq int, to time.Time) []Point {
+	var out []Point
+	for _, p := range r.series[k] {
+		if p.At.Before(after) || p.At.After(to) {
+			continue
+		}
+		if p.At.Equal(after) && seq > 0 {
+			seq--
+			continue
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
+// windowMean is WindowMean by linear scan. It accumulates the step
+// function's segments in time order, the order the store adds them in,
+// so the two means agree bit for bit.
+func (r *refDB) windowMean(k SeriesKey, from, to time.Time) (float64, bool) {
+	if !to.After(from) {
+		return 0, false
+	}
+	v, ok := r.valueAt(k, from)
+	at := from
+	var total, weight float64
+	segment := func(until time.Time) {
+		if ok {
+			d := until.Sub(at).Seconds()
+			total += v * d
+			weight += d
+		}
+	}
+	for _, p := range r.series[k] {
+		if p.At.After(from) && p.At.Before(to) {
+			segment(p.At)
+			v, ok, at = p.Value, true, p.At
+		}
+	}
+	segment(to)
+	if weight == 0 {
+		return 0, false
+	}
+	return total / weight, true
+}
+
+// grid is Grid by one linear valueAt per instant.
+func (r *refDB) grid(k SeriesKey, from, to time.Time, step time.Duration) []float64 {
+	if step <= 0 || to.Before(from) {
+		return nil
+	}
+	var out []float64
+	for t := from; !t.After(to); t = t.Add(step) {
+		v, ok := r.valueAt(k, t)
+		if !ok {
+			v = math.NaN()
+		}
+		out = append(out, v)
+	}
+	return out
+}
+
+// changeIntervals is ChangeIntervals: the gaps between consecutive points.
+func (r *refDB) changeIntervals(k SeriesKey) []time.Duration {
+	pts := r.series[k]
+	var out []time.Duration
+	for i := 1; i < len(pts); i++ {
+		out = append(out, pts[i].At.Sub(pts[i-1].At))
+	}
+	return out
+}
+
 func (r *refDB) last(k SeriesKey) (Point, bool) {
 	pts := r.series[k]
 	if len(pts) == 0 {
