@@ -1,10 +1,10 @@
 package tsdb
 
-// Regression tests for the silent cold-read hole: getPointsLocked used to
-// `continue` past a cold block whose decode failed, so a long-window
-// query over a corrupted (or unreadable) block file returned a silently
-// truncated result with a nil error. Every read path must surface
-// ErrColdRead instead.
+// Regression tests for the silent cold-read hole: a window copy that
+// skips a cold block whose decode failed turns a long-window query over
+// a corrupted (or unreadable) block file into a silently truncated
+// result with a nil error. Every read path must surface ErrColdRead
+// instead.
 
 import (
 	"errors"

@@ -95,7 +95,12 @@ func (db *DB) captureFull() ([]snapshotSeries, error) {
 		sh := &db.shards[i]
 		sh.mu.RLock()
 		for k, s := range sh.series {
-			pts, err := db.getPointsLocked(s, 0, seriesTotal(s))
+			v := viewLocked(s)
+			pts := make([]Point, 0, v.total())
+			err := db.iterateView(v, 0, v.total(), func(chunk []Point) error {
+				pts = append(pts, chunk...)
+				return nil
+			})
 			if err != nil {
 				sh.mu.RUnlock()
 				return nil, fmt.Errorf("tsdb: snapshot capture of %v: %w", k, err)

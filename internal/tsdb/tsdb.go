@@ -123,8 +123,8 @@ type series struct {
 	// cold is the series' sealed history, nil until a checkpoint seals
 	// one: block metadata only — the points themselves stay on disk and
 	// decode on demand through the store's block cache. A point's global
-	// index is cold.n + its offset in points; the read paths resolve the
-	// two tiers through the shared search/fetch helpers below.
+	// index is cold.n + its offset in points; every read resolves the two
+	// tiers through the read engine's seriesView below.
 	cold *coldSeries
 }
 
@@ -726,13 +726,11 @@ func (db *DB) AppendIfChanged(k SeriesKey, at time.Time, v float64) (bool, error
 	sh := db.shardFor(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if s := sh.series[k]; s != nil {
-		// A failed cold read of the last point (only reachable when the
-		// hot tail is empty) degrades to "assume changed": storing a
-		// possibly-duplicate value beats refusing the append.
-		if p, ok, err := db.lastPointLocked(s); err == nil && ok && p.Value == v {
-			return false, nil
-		}
+	// A failed cold read of the last point (only reachable when the hot
+	// tail is empty) degrades to "assume changed": storing a
+	// possibly-duplicate value beats refusing the append.
+	if p, ok, err := db.lastPoint(sh.series[k]); err == nil && ok && p.Value == v {
+		return false, nil
 	}
 	if err := db.appendLocked(sh, k, at, v); err != nil {
 		return false, err
@@ -805,10 +803,8 @@ func (db *DB) appendBatch(entries []Entry, dedup bool) (int, error) {
 			if dedup {
 				// As in AppendIfChanged: an unreadable last point means
 				// "assume changed", never a rejected append.
-				if sr := sh.series[e.Key]; sr != nil {
-					if p, ok, err := db.lastPointLocked(sr); err == nil && ok && p.Value == e.Value {
-						continue
-					}
+				if p, ok, err := db.lastPoint(sh.series[e.Key]); err == nil && ok && p.Value == e.Value {
+					continue
 				}
 			}
 			if err := db.appendLocked(sh, e.Key, e.At, e.Value); err != nil {
@@ -847,27 +843,21 @@ func (db *DB) coldReadErr(err error) error {
 	return fmt.Errorf("%w: %w", ErrColdRead, err)
 }
 
-// The tier-merging read primitives. A series' points form one logical
-// time-ordered sequence indexed 0..total-1: the sealed (cold) points
-// first, then the hot in-memory tail. Every read path below — range and
-// cursor windows, step lookups, window means, grids, intervals, the
-// rollup builder — resolves its window through these helpers, so hot
-// and cold tiers can never disagree about where a timestamp falls. The
-// caller holds the owning shard's lock throughout (except iterateView,
-// which works on a captured seriesView precisely so decoding can happen
-// outside the lock).
+// The read engine. A series' points form one logical time-ordered
+// sequence indexed 0..total-1: the sealed (cold) points first, then the
+// hot in-memory tail. Every read primitive below is the same three steps
+// on a seriesView: capture the view under the shard read lock
+// (rlockView), find its index bounds by binary search (searchView, or
+// afterBounds and stepWindow on top of it), then stream the window
+// (iterateView) or read a single point (pointAt). The rollup builder and
+// the snapshot capture take the same steps, so no two read paths can
+// disagree about where a timestamp falls, hot or cold.
 //
 // Cold blocks decode on demand through the block cache. A block that
 // fails to decode is counted in ColdReadErrors and the error propagates
 // to the caller as ErrColdRead — never a silently truncated answer.
-
-// seriesTotal returns the series' logical point count across both tiers.
-func seriesTotal(s *series) int {
-	if s.cold == nil {
-		return len(s.points)
-	}
-	return s.cold.n + len(s.points)
-}
+// ScannedPoints counts the points iterateView streams; searches and
+// single-point reads add nothing to it.
 
 // seriesView is a stable read view of one series' two tiers, captured
 // under the owning shard's lock and safe to use after releasing it:
@@ -882,18 +872,23 @@ func seriesTotal(s *series) int {
 //     length. Appends write past that length and seals replace the
 //     slice with a fresh copy, so the captured window never mutates.
 //
-// This is the bounded iteration primitive shared by ChangeIntervals and
-// the rollup builder: both walk months-deep series block by block,
-// decoding one block at a time outside the shard lock, instead of
-// materializing the whole series under it.
+// Every read runs on a view. Most primitives still decode under the
+// shard read lock, because Close closes block files while it holds
+// every shard lock; ChangeIntervals and the rollup builder walk their
+// views after releasing it, so a months-deep series decodes one block at
+// a time without stalling writers.
 type seriesView struct {
 	blocks []blockMeta
 	coldN  int
 	hot    []Point
 }
 
-// viewLocked captures a series view; the caller holds the shard lock.
+// viewLocked captures s's view, the empty view when s is nil; the caller
+// holds the shard lock.
 func viewLocked(s *series) seriesView {
+	if s == nil {
+		return seriesView{}
+	}
 	v := seriesView{hot: s.points}
 	if s.cold != nil {
 		v.blocks = s.cold.blocks[:len(s.cold.blocks):len(s.cold.blocks)]
@@ -903,6 +898,105 @@ func viewLocked(s *series) seriesView {
 }
 
 func (v seriesView) total() int { return v.coldN + len(v.hot) }
+
+// rlockView read-locks k's shard and captures k's view — the empty view
+// for an unknown series, on which every primitive returns its empty
+// answer. The caller unlocks the returned mutex.
+func (db *DB) rlockView(k SeriesKey) (seriesView, *sync.RWMutex) {
+	sh := db.shardFor(k)
+	sh.mu.RLock()
+	return viewLocked(sh.series[k]), &sh.mu
+}
+
+// searchView returns the smallest global index whose point timestamp
+// satisfies pred, or the total count when none does. pred must be
+// monotone in time (false then true), which every window predicate
+// (!Before(from), After(to), ...) is. Cold blocks are located by their
+// min/max timestamps alone; a block is decoded only when the boundary
+// falls strictly inside it.
+func (db *DB) searchView(v seriesView, pred func(time.Time) bool) (int, error) {
+	nb := len(v.blocks)
+	bi := sort.Search(nb, func(i int) bool { return pred(v.blocks[i].maxAt) })
+	if bi < nb {
+		b := &v.blocks[bi]
+		if pred(b.minAt) {
+			return b.start, nil
+		}
+		pts, err := db.coldBlockPoints(b)
+		if err != nil {
+			return 0, db.coldReadErr(err)
+		}
+		return b.start + sort.Search(len(pts), func(i int) bool { return pred(pts[i].At) }), nil
+	}
+	return v.coldN + sort.Search(len(v.hot), func(i int) bool { return pred(v.hot[i].At) }), nil
+}
+
+// afterBounds returns the global index window [lo, hi) of the view's
+// points after the position (after, seq) and at or before `to`; a range
+// [from, to] is the window after (from, 0). This is the seek primitive
+// behind keyset-cursor pagination: the position names the seq-th point
+// at timestamp `after` (every earlier point plus the first seq points at
+// exactly `after` are consumed), so a resumed read starts at a fixed
+// place in the append-only series, unlike an offset, which shifts when
+// earlier points arrive. The store accepts equal-timestamp appends, so a
+// bare timestamp cannot address a position inside such a run — the
+// sequence component is what lets a page boundary fall there without
+// dropping the run's remainder. Positions resolve identically whether
+// the addressed points are hot or have been sealed into cold blocks —
+// sealing never reorders or renumbers, so a cursor taken before a seal
+// resumes exactly where it left off after one. Counts and copies share
+// this one window definition, so pagination's count pass and copy pass
+// agree exactly, and on a cold read error both fail alike.
+func (db *DB) afterBounds(v seriesView, after time.Time, seq int, to time.Time) (lo, hi int, err error) {
+	lo, err = db.searchView(v, func(t time.Time) bool { return !t.Before(after) })
+	if err != nil {
+		return 0, 0, err
+	}
+	if seq > 0 {
+		// seq consumes points at exactly `after`, never beyond its run:
+		// a forged or overshot count clamps to the run's end instead of
+		// eating later timestamps.
+		runEnd, err := db.searchView(v, func(t time.Time) bool { return t.After(after) })
+		if err != nil {
+			return 0, 0, err
+		}
+		if seq > runEnd-lo {
+			lo = runEnd
+		} else {
+			lo += seq
+		}
+	}
+	hi, err = db.searchView(v, func(t time.Time) bool { return t.After(to) })
+	if err != nil {
+		return 0, 0, err
+	}
+	return lo, hi, nil
+}
+
+// stepWindow resolves a step-function read from `from`: the point in
+// force there (the latest at or before from; ok is false when there is
+// none) and the index window [i, j) of the points after from, where j
+// is the first index whose timestamp satisfies end. A nil end asks for
+// the point alone and returns j == i.
+func (db *DB) stepWindow(v seriesView, from time.Time, end func(time.Time) bool) (carried Point, ok bool, i, j int, err error) {
+	i, err = db.searchView(v, func(t time.Time) bool { return t.After(from) })
+	if err != nil {
+		return Point{}, false, 0, 0, err
+	}
+	if carried, ok, err = db.pointAt(v, i-1); err != nil || end == nil {
+		return carried, ok, i, i, err
+	}
+	j, err = db.searchView(v, end)
+	return carried, ok, i, j, err
+}
+
+// blockAt returns the index of the cold block holding global index i,
+// which must be below coldN.
+func (v seriesView) blockAt(i int) int {
+	return sort.Search(len(v.blocks), func(b int) bool {
+		return v.blocks[b].start+int(v.blocks[b].count) > i
+	})
+}
 
 // iterateView streams the view's global index window [lo, hi) to fn in
 // consecutive chunks — one chunk per overlapping cold block, then the
@@ -920,10 +1014,7 @@ func (db *DB) iterateView(v seriesView, lo, hi int, fn func(pts []Point) error) 
 		return nil
 	}
 	if lo < v.coldN {
-		bi := sort.Search(len(v.blocks), func(i int) bool {
-			return v.blocks[i].start+int(v.blocks[i].count) > lo
-		})
-		for ; bi < len(v.blocks) && v.blocks[bi].start < hi; bi++ {
+		for bi := v.blockAt(lo); bi < len(v.blocks) && v.blocks[bi].start < hi; bi++ {
 			b := &v.blocks[bi]
 			pts, err := db.coldBlockPoints(b)
 			if err != nil {
@@ -955,106 +1046,36 @@ func (db *DB) iterateView(v seriesView, lo, hi int, fn func(pts []Point) error) 
 	return nil
 }
 
-// searchSeries returns the smallest global index whose point timestamp
-// satisfies pred, or the total count when none does. pred must be
-// monotone in time (false then true), which both window predicates
-// (!Before(from), After(to)) are. Cold blocks are located by their
-// min/max timestamps alone; a block is decoded only when the boundary
-// falls strictly inside it.
-func (db *DB) searchSeries(s *series, pred func(time.Time) bool) (int, error) {
-	return db.searchView(viewLocked(s), pred)
-}
-
-// searchView is searchSeries on a captured view, usable after the shard
-// lock is released (the rollup builder locates its incremental window
-// this way without stalling writers).
-func (db *DB) searchView(v seriesView, pred func(time.Time) bool) (int, error) {
-	nb := len(v.blocks)
-	bi := sort.Search(nb, func(i int) bool { return pred(v.blocks[i].maxAt) })
-	if bi < nb {
-		b := &v.blocks[bi]
-		if pred(b.minAt) {
-			return b.start, nil
-		}
-		pts, err := db.coldBlockPoints(b)
-		if err != nil {
-			return 0, db.coldReadErr(err)
-		}
-		return b.start + sort.Search(len(pts), func(i int) bool { return pred(pts[i].At) }), nil
+// pointAt returns the point at global index i; ok is false when i is
+// out of range.
+func (db *DB) pointAt(v seriesView, i int) (Point, bool, error) {
+	switch {
+	case i < 0 || i >= v.total():
+		return Point{}, false, nil
+	case i >= v.coldN:
+		return v.hot[i-v.coldN], true, nil
 	}
-	return v.coldN + sort.Search(len(v.hot), func(i int) bool { return pred(v.hot[i].At) }), nil
-}
-
-// getPointsLocked copies the global index window [lo, hi) into a fresh
-// slice, decoding whichever cold blocks it overlaps and finishing in
-// the hot tail.
-func (db *DB) getPointsLocked(s *series, lo, hi int) ([]Point, error) {
-	if total := seriesTotal(s); hi > total {
-		hi = total
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	if lo >= hi {
-		return nil, nil
-	}
-	out := make([]Point, 0, hi-lo)
-	err := db.iterateView(viewLocked(s), lo, hi, func(pts []Point) error {
-		out = append(out, pts...)
-		return nil
-	})
+	b := &v.blocks[v.blockAt(i)]
+	pts, err := db.coldBlockPoints(b)
 	if err != nil {
-		return nil, err
+		return Point{}, false, db.coldReadErr(err)
 	}
-	return out, nil
+	return pts[i-b.start], true, nil
 }
 
-// pointAtLocked returns the point at global index i; ok is false when i
-// is out of range.
-func (db *DB) pointAtLocked(s *series, i int) (Point, bool, error) {
-	coldN := 0
-	if cold := s.cold; cold != nil {
-		coldN = cold.n
-		if i >= 0 && i < coldN {
-			bi := sort.Search(len(cold.blocks), func(k int) bool {
-				return cold.blocks[k].start+int(cold.blocks[k].count) > i
-			})
-			b := &cold.blocks[bi]
-			pts, err := db.coldBlockPoints(b)
-			if err != nil {
-				return Point{}, false, db.coldReadErr(err)
-			}
-			return pts[i-b.start], true, nil
-		}
+// lastPoint returns s's most recent point for the append path's dedup
+// check. Seals keep the hot tail non-empty, so for live series the
+// tail's last point answers without capturing a view: capturing one on
+// every deduplicated append loads the cold index, which made
+// deduplicating a batch over 1,024 sealed series about 40% slower. A
+// series without a hot tail (a state only recovery of a partially
+// written layout reaches) reads through pointAt.
+func (db *DB) lastPoint(s *series) (Point, bool, error) {
+	if s != nil && len(s.points) > 0 {
+		return s.points[len(s.points)-1], true, nil
 	}
-	if i < coldN || i >= coldN+len(s.points) {
-		return Point{}, false, nil
-	}
-	return s.points[i-coldN], true, nil
-}
-
-// lastPointLocked returns the series' most recent point. For live series
-// the hot tail always holds at least one point (seals keep a non-empty
-// tail); the cold fallback covers a tier state only reachable through
-// recovery of a partially written layout.
-func (db *DB) lastPointLocked(s *series) (Point, bool, error) {
-	if n := len(s.points); n > 0 {
-		return s.points[n-1], true, nil
-	}
-	if s.cold == nil || s.cold.n == 0 {
-		return Point{}, false, nil
-	}
-	return db.pointAtLocked(s, s.cold.n-1)
-}
-
-// rangeBounds returns the global index window [lo, hi) of the series'
-// points falling within [from, to]: the window after the position
-// (from, 0). Range and cursor reads thus share one window definition —
-// pagination relies on the count pass and the copy pass agreeing
-// exactly, across both tiers. On a cold read error both passes fail
-// identically instead of disagreeing silently.
-func (db *DB) rangeBounds(s *series, from, to time.Time) (lo, hi int, err error) {
-	return db.afterBounds(s, from, 0, to)
+	v := viewLocked(s)
+	return db.pointAt(v, v.total()-1)
 }
 
 // CountRange returns how many points of the series fall within [from, to]
@@ -1062,14 +1083,18 @@ func (db *DB) rangeBounds(s *series, from, to time.Time) (lo, hi int, err error)
 // read lock. Pagination uses it to size pages and locate offsets before
 // materializing only the requested window.
 func (db *DB) CountRange(k SeriesKey, from, to time.Time) (int, error) {
-	sh := db.shardFor(k)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	s := sh.series[k]
-	if s == nil {
-		return 0, nil
-	}
-	lo, hi, err := db.rangeBounds(s, from, to)
+	return db.CountAfter(k, from, 0, to)
+}
+
+// CountAfter returns how many points of the series lie after the
+// position (after, seq) — see afterBounds — and at or before `to`,
+// without copying any of them: two binary searches under the shard's
+// read lock. Cursor pagination uses it to size the remainder of a
+// series the cursor position has partially consumed.
+func (db *DB) CountAfter(k SeriesKey, after time.Time, seq int, to time.Time) (int, error) {
+	v, mu := db.rlockView(k)
+	defer mu.RUnlock()
+	lo, hi, err := db.afterBounds(v, after, seq, to)
 	if err != nil || lo >= hi {
 		return 0, err
 	}
@@ -1082,14 +1107,25 @@ func (db *DB) CountRange(k SeriesKey, from, to time.Time) (int, error) {
 // paginated reader of a large window allocates one page at a time instead
 // of the full range.
 func (db *DB) QueryRange(k SeriesKey, from, to time.Time, skip, max int) ([]Point, error) {
-	sh := db.shardFor(k)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	s := sh.series[k]
-	if s == nil {
-		return nil, nil
-	}
-	lo, hi, err := db.rangeBounds(s, from, to)
+	return db.readWindow(k, from, 0, to, skip, max)
+}
+
+// QueryAfter returns up to max points of the series after the position
+// (after, seq) and at or before `to`, oldest first. A negative max means
+// "all remaining". Because the store is append-only and per-series
+// time-ordered, a fixed (timestamp, sequence) position never moves as
+// new points arrive — the property that keeps cursor pagination stable
+// under live collection, where a skipped offset would drift.
+func (db *DB) QueryAfter(k SeriesKey, after time.Time, seq int, to time.Time, max int) ([]Point, error) {
+	return db.readWindow(k, after, seq, to, 0, max)
+}
+
+// readWindow copies the points after (after, seq) and at or before to,
+// less the first skip and at most max of them (all when max < 0).
+func (db *DB) readWindow(k SeriesKey, after time.Time, seq int, to time.Time, skip, max int) ([]Point, error) {
+	v, mu := db.rlockView(k)
+	defer mu.RUnlock()
+	lo, hi, err := db.afterBounds(v, after, seq, to)
 	if err != nil {
 		return nil, err
 	}
@@ -1106,110 +1142,28 @@ func (db *DB) QueryRange(k SeriesKey, from, to time.Time, skip, max int) ([]Poin
 	if max >= 0 && max < hi-lo {
 		hi = lo + max
 	}
-	return db.getPointsLocked(s, lo, hi)
-}
-
-// afterBounds returns the global index window [lo, hi) of the series'
-// points after the position (after, seq) and at or before `to`. The
-// caller holds the owning shard's lock. This is the seek primitive
-// behind keyset-cursor pagination: the position names the seq-th point
-// at timestamp `after` (every earlier point plus the first seq points at
-// exactly `after` are consumed), so a resumed read starts at a fixed
-// place in the append-only series, unlike an offset, which shifts when
-// earlier points arrive. The store accepts equal-timestamp appends, so a
-// bare timestamp cannot address a position inside such a run — the
-// sequence component is what lets a page boundary fall there without
-// dropping the run's remainder. Positions resolve identically whether
-// the addressed points are hot or have been sealed into cold blocks —
-// sealing never reorders or renumbers, so a cursor taken before a seal
-// resumes exactly where it left off after one.
-func (db *DB) afterBounds(s *series, after time.Time, seq int, to time.Time) (lo, hi int, err error) {
-	lo, err = db.searchSeries(s, func(t time.Time) bool { return !t.Before(after) })
-	if err != nil {
-		return 0, 0, err
-	}
-	if seq > 0 {
-		// seq consumes points at exactly `after`, never beyond its run:
-		// a forged or overshot count clamps to the run's end instead of
-		// eating later timestamps.
-		runEnd, err := db.searchSeries(s, func(t time.Time) bool { return t.After(after) })
-		if err != nil {
-			return 0, 0, err
-		}
-		if seq > runEnd-lo {
-			lo = runEnd
-		} else {
-			lo += seq
-		}
-	}
-	hi, err = db.searchSeries(s, func(t time.Time) bool { return t.After(to) })
-	if err != nil {
-		return 0, 0, err
-	}
-	return lo, hi, nil
-}
-
-// CountAfter returns how many points of the series lie after the
-// position (after, seq) — see afterBounds — and at or before `to`,
-// without copying any of them: two binary searches under the shard's
-// read lock. Cursor pagination uses it to size the remainder of a
-// series the cursor position has partially consumed.
-func (db *DB) CountAfter(k SeriesKey, after time.Time, seq int, to time.Time) (int, error) {
-	sh := db.shardFor(k)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	s := sh.series[k]
-	if s == nil {
-		return 0, nil
-	}
-	lo, hi, err := db.afterBounds(s, after, seq, to)
-	if err != nil || lo >= hi {
-		return 0, err
-	}
-	return hi - lo, nil
-}
-
-// QueryAfter returns up to max points of the series after the position
-// (after, seq) and at or before `to`, oldest first. A negative max means
-// "all remaining". Because the store is append-only and per-series
-// time-ordered, a fixed (timestamp, sequence) position never moves as
-// new points arrive — the property that keeps cursor pagination stable
-// under live collection, where a skipped offset would drift.
-func (db *DB) QueryAfter(k SeriesKey, after time.Time, seq int, to time.Time, max int) ([]Point, error) {
-	sh := db.shardFor(k)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	s := sh.series[k]
-	if s == nil {
+	if lo >= hi {
 		return nil, nil
 	}
-	lo, hi, err := db.afterBounds(s, after, seq, to)
+	out := make([]Point, 0, hi-lo)
+	err = db.iterateView(v, lo, hi, func(pts []Point) error {
+		out = append(out, pts...)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	if max >= 0 && max < hi-lo {
-		hi = lo + max
-	}
-	return db.getPointsLocked(s, lo, hi)
+	return out, nil
 }
 
 // ValueAt returns the series' value at time t under step semantics: the
 // value of the latest point at or before t. ok is false before the first
 // point or for an unknown series.
 func (db *DB) ValueAt(k SeriesKey, t time.Time) (v float64, ok bool, err error) {
-	sh := db.shardFor(k)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	s := sh.series[k]
-	if s == nil {
-		return 0, false, nil
-	}
-	i, err := db.searchSeries(s, func(at time.Time) bool { return at.After(t) })
-	if err != nil || i == 0 {
-		return 0, false, err
-	}
-	p, ok, err := db.pointAtLocked(s, i-1)
-	return p.Value, ok, err
+	view, mu := db.rlockView(k)
+	defer mu.RUnlock()
+	carried, ok, _, _, err := db.stepWindow(view, t, nil)
+	return carried.Value, ok, err
 }
 
 // WindowMean returns the time-weighted mean of the step function over
@@ -1219,57 +1173,34 @@ func (db *DB) WindowMean(k SeriesKey, from, to time.Time) (mean float64, ok bool
 	if !to.After(from) {
 		return 0, false, nil
 	}
-	sh := db.shardFor(k)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	s := sh.series[k]
-	if s == nil || seriesTotal(s) == 0 {
-		return 0, false, nil
-	}
-	// Window bounds through the shared search: [i, j) are the points
-	// strictly inside (from, to); i-1, when present, carries the step
-	// value into the window.
-	i, err := db.searchSeries(s, func(t time.Time) bool { return t.After(from) })
+	v, mu := db.rlockView(k)
+	defer mu.RUnlock()
+	// [i, j) are the points strictly inside (from, to); the carried
+	// point's value holds from `from` until the first of them.
+	carried, set, i, j, err := db.stepWindow(v, from, func(t time.Time) bool { return !t.Before(to) })
 	if err != nil {
 		return 0, false, err
 	}
-	j, err := db.searchSeries(s, func(t time.Time) bool { return !t.Before(to) })
-	if err != nil {
-		return 0, false, err
-	}
-	var cur float64
-	var curSet bool
-	cursor := from
-	if i > 0 {
-		p, ok, err := db.pointAtLocked(s, i-1)
-		if err != nil {
-			return 0, false, err
-		}
-		if ok {
-			cur, curSet = p.Value, true
-		}
-	}
-	pts, err := db.getPointsLocked(s, i, j)
-	if err != nil {
-		return 0, false, err
-	}
-	total := 0.0
-	weight := 0.0
-	for _, p := range pts {
-		if curSet {
-			d := p.At.Sub(cursor).Seconds()
+	cur, cursor := carried.Value, from
+	var total, weight float64
+	segment := func(until time.Time) {
+		if set {
+			d := until.Sub(cursor).Seconds()
 			total += cur * d
 			weight += d
 		}
-		cur = p.Value
-		curSet = true
-		cursor = p.At
 	}
-	if curSet {
-		d := to.Sub(cursor).Seconds()
-		total += cur * d
-		weight += d
+	err = db.iterateView(v, i, j, func(pts []Point) error {
+		for _, p := range pts {
+			segment(p.At)
+			cur, set, cursor = p.Value, true, p.At
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, false, err
 	}
+	segment(to)
 	if weight == 0 {
 		return 0, false, nil
 	}
@@ -1278,58 +1209,41 @@ func (db *DB) WindowMean(k SeriesKey, from, to time.Time) (mean float64, ok bool
 
 // Grid samples the step function at from, from+step, ... up to and
 // including to. Instants before the first point yield NaN. The whole
-// grid is computed under one shard read lock with one window fetch —
-// the same bounds Query uses — instead of a binary search per instant,
-// so hot and cold tiers resolve identically for every sample.
+// grid is computed under one shard read lock from one streamed window —
+// the points in (from, to] after the value carried in at from — instead
+// of a binary search per instant, so hot and cold tiers resolve
+// identically for every sample.
 func (db *DB) Grid(k SeriesKey, from, to time.Time, step time.Duration) ([]float64, error) {
 	if step <= 0 || to.Before(from) {
 		return nil, nil
 	}
-	sh := db.shardFor(k)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	s := sh.series[k]
+	v, mu := db.rlockView(k)
+	defer mu.RUnlock()
+	carried, ok, i, j, err := db.stepWindow(v, from, func(t time.Time) bool { return t.After(to) })
+	if err != nil {
+		return nil, err
+	}
+	cur := math.NaN()
+	if ok {
+		cur = carried.Value
+	}
 	var out []float64
-	if s == nil {
-		for t := from; !t.After(to); t = t.Add(step) {
-			out = append(out, math.NaN())
+	at := from
+	err = db.iterateView(v, i, j, func(pts []Point) error {
+		for _, p := range pts {
+			// Instants before p still sample the value p replaces.
+			for ; p.At.After(at); at = at.Add(step) {
+				out = append(out, cur)
+			}
+			cur = p.Value
 		}
-		return out, nil
-	}
-	i, err := db.searchSeries(s, func(t time.Time) bool { return t.After(from) })
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	var cur float64
-	var curSet bool
-	if i > 0 {
-		p, ok, err := db.pointAtLocked(s, i-1)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			cur, curSet = p.Value, true
-		}
-	}
-	hi, err := db.searchSeries(s, func(t time.Time) bool { return t.After(to) })
-	if err != nil {
-		return nil, err
-	}
-	pts, err := db.getPointsLocked(s, i, hi)
-	if err != nil {
-		return nil, err
-	}
-	pi := 0
-	for t := from; !t.After(to); t = t.Add(step) {
-		for pi < len(pts) && !pts[pi].At.After(t) {
-			cur, curSet = pts[pi].Value, true
-			pi++
-		}
-		if curSet {
-			out = append(out, cur)
-		} else {
-			out = append(out, math.NaN())
-		}
+	for ; !at.After(to); at = at.Add(step) {
+		out = append(out, cur)
 	}
 	return out, nil
 }
@@ -1338,22 +1252,17 @@ func (db *DB) Grid(k SeriesKey, from, to time.Time, step time.Duration) ([]float
 // series. When points are appended via AppendIfChanged these are the
 // value-change intervals of Figure 10.
 //
-// The series streams through iterateView on a view captured under the
-// shard lock and walked after releasing it: one decoded block resident
-// at a time, and a months-deep cold series no longer stalls writers for
-// the duration of a full decode (the intervals themselves are the only
-// full-length allocation).
+// The view is captured under the shard lock and walked after releasing
+// it: one decoded block resident at a time, and a months-deep cold
+// series does not stall writers for the duration of a full decode (the
+// intervals themselves are the only full-length allocation).
 func (db *DB) ChangeIntervals(k SeriesKey) ([]time.Duration, error) {
-	sh := db.shardFor(k)
-	sh.mu.RLock()
-	s := sh.series[k]
-	if s == nil || seriesTotal(s) < 2 {
-		sh.mu.RUnlock()
+	v, mu := db.rlockView(k)
+	mu.RUnlock()
+	total := v.total()
+	if total < 2 {
 		return nil, nil
 	}
-	v := viewLocked(s)
-	sh.mu.RUnlock()
-	total := v.total()
 	out := make([]time.Duration, 0, total-1)
 	var prev time.Time
 	first := true
@@ -1375,14 +1284,9 @@ func (db *DB) ChangeIntervals(k SeriesKey) ([]time.Duration, error) {
 
 // Last returns the most recent point of the series.
 func (db *DB) Last(k SeriesKey) (Point, bool, error) {
-	sh := db.shardFor(k)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	s := sh.series[k]
-	if s == nil {
-		return Point{}, false, nil
-	}
-	return db.lastPointLocked(s)
+	v, mu := db.rlockView(k)
+	defer mu.RUnlock()
+	return db.pointAt(v, v.total()-1)
 }
 
 // KeyFilter selects series keys; empty fields match anything.
